@@ -241,6 +241,41 @@ fn bench_select_engine(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Select engine over 10 K rows with the Bloom-join probe predicate
+/// (paper Listing 1) at two bit-array sizes. Each row slices the
+/// bit-string literal once per hash function, so per-row time must not
+/// grow with the array: both sizes should report about the same time.
+fn bench_select_bloom_probe(c: &mut Criterion) {
+    let schema = sample_schema();
+    let rows = sample_rows(10_000);
+    let store = S3Store::new();
+    store.put_object("b", "t.csv", encode_csv(&schema, &rows));
+    let engine = S3SelectEngine::new(store);
+    let bytes = engine.store().total_size("b", "t.csv");
+    let mut g = c.benchmark_group("select");
+    g.throughput(Throughput::Bytes(bytes));
+    for (name, bits) in [
+        ("bloom_probe_8k_bits", 8 * 1024),
+        ("bloom_probe_64k_bits", 64 * 1024),
+    ] {
+        let mut f = pushdown_bloom::BloomFilter::with_geometry(bits, 3, 7);
+        for k in (0..10_000).step_by(3) {
+            f.insert(k);
+        }
+        let sql = format!("SELECT k FROM S3Object WHERE {}", f.sql_predicate("k"));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    engine
+                        .select("b", "t.csv", &sql, &schema, InputFormat::Csv)
+                        .unwrap(),
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("ops");
     let left = sample_rows(5_000);
@@ -290,6 +325,7 @@ criterion_group!(
     bench_sql,
     bench_bloom,
     bench_select_engine,
+    bench_select_bloom_probe,
     bench_ops
 );
 criterion_main!(benches);

@@ -102,8 +102,17 @@ pub fn parse_date(s: &str) -> Option<i32> {
 
 /// Format days-since-epoch as `YYYY-MM-DD`.
 pub fn format_date(days: i32) -> String {
+    let mut s = String::with_capacity(10);
+    write_date(days, &mut s);
+    s
+}
+
+/// Append days-since-epoch as `YYYY-MM-DD` to `out` (the allocation-free
+/// form of [`format_date`]).
+pub(crate) fn write_date(days: i32, out: &mut String) {
+    use std::fmt::Write;
     let c = civil_from_days(days);
-    format!("{:04}-{:02}-{:02}", c.year, c.month, c.day)
+    let _ = write!(out, "{:04}-{:02}-{:02}", c.year, c.month, c.day);
 }
 
 /// Convenience: days since epoch for a (year, month, day) literal.

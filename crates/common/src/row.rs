@@ -53,24 +53,33 @@ impl Row {
     /// contain separators or quotes are quoted.
     pub fn to_csv_line(&self) -> String {
         let mut out = String::new();
-        for (i, v) in self.0.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let field = v.to_csv_field();
-            if field.contains(',')
-                || field.contains('"')
-                || field.contains('\n')
-                || field.contains('\r')
-            {
-                out.push('"');
-                out.push_str(&field.replace('"', "\"\""));
-                out.push('"');
-            } else {
-                out.push_str(&field);
-            }
-        }
+        write_csv_values(&self.0, &mut out);
         out
+    }
+}
+
+/// Append `values` as one CSV line (no trailing newline) to `out`, writing
+/// every field in place: no intermediate `String` per row or field. Only
+/// strings can contain a separator, quote or line break, so only strings
+/// are ever quoted (with `""` escapes).
+pub fn write_csv_values<'v>(values: impl IntoIterator<Item = &'v Value>, out: &mut String) {
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match v {
+            Value::Str(s) if s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) => {
+                out.push('"');
+                for (j, part) in s.split('"').enumerate() {
+                    if j > 0 {
+                        out.push_str("\"\"");
+                    }
+                    out.push_str(part);
+                }
+                out.push('"');
+            }
+            other => other.write_csv_field(out),
+        }
     }
 }
 

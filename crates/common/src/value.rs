@@ -9,6 +9,7 @@ use crate::date;
 use crate::error::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Logical column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,13 +188,23 @@ impl Value {
     /// Render in the CSV dialect used across the system (and by the
     /// simulated S3 Select service, which always returns CSV).
     pub fn to_csv_field(&self) -> String {
+        let mut s = String::new();
+        self.write_csv_field(&mut s);
+        s
+    }
+
+    /// Append the CSV-dialect text of this value to `out`, unquoted (the
+    /// allocation-free form of [`Value::to_csv_field`]).
+    pub fn write_csv_field(&self, out: &mut String) {
         match self {
-            Value::Null => String::new(),
-            Value::Bool(b) => if *b { "true" } else { "false" }.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format_float(*f),
-            Value::Str(s) => s.clone(),
-            Value::Date(d) => date::format_date(*d),
+            Value::Null => {}
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::Float(f) => write_float(*f, out),
+            Value::Str(s) => out.push_str(s),
+            Value::Date(d) => date::write_date(*d, out),
         }
     }
 
@@ -311,17 +322,21 @@ impl fmt::Display for Value {
 /// representation that round-trips, with a trailing `.0` for integral values
 /// so the type remains recognizable.
 pub fn format_float(f: f64) -> String {
+    let mut s = String::new();
+    write_float(f, &mut s);
+    s
+}
+
+/// Append [`format_float`]'s text for `f` to `out`.
+fn write_float(f: f64, out: &mut String) {
     if f.is_nan() {
-        return "NaN".to_string();
-    }
-    if f.is_infinite() {
-        return if f > 0.0 { "inf" } else { "-inf" }.to_string();
-    }
-    if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
+        out.push_str("NaN");
+    } else if f.is_infinite() {
+        out.push_str(if f > 0.0 { "inf" } else { "-inf" });
+    } else if f == f.trunc() && f.abs() < 1e15 {
+        let _ = write!(out, "{f:.1}");
     } else {
-        let s = format!("{f}");
-        s
+        let _ = write!(out, "{f}");
     }
 }
 

@@ -19,7 +19,7 @@ use crate::output::QueryOutput;
 use crate::scan::{plain_scan_columnar_streamed, plain_scan_streamed, select_scan};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Row, Schema};
-use pushdown_format::csv::split_line;
+use pushdown_format::csv::decode_record;
 use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
@@ -223,24 +223,7 @@ pub fn indexed(ctx: &QueryContext, idx: &IndexTable, q: &FilterQuery) -> Result<
         phase2.point_requests += u64::from(fetched.attempts);
         phase2.plain_bytes += slice.len() as u64;
         phase2.server_cpu_units += 1;
-        let line = std::str::from_utf8(&slice)
-            .map_err(|_| pushdown_common::Error::Corrupt("non-UTF8 record".into()))?;
-        let fields = split_line(line.trim_end_matches(['\n', '\r']))?;
-        if fields.len() != idx.data.schema.len() {
-            return Err(pushdown_common::Error::Corrupt(format!(
-                "ranged GET returned {} fields, expected {}",
-                fields.len(),
-                idx.data.schema.len()
-            )));
-        }
-        let mut vals = Vec::with_capacity(fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            vals.push(pushdown_common::Value::parse_typed(
-                f,
-                idx.data.schema.dtype_of(i),
-            )?);
-        }
-        rows.push(Row::new(vals));
+        rows.push(decode_record(&slice, &idx.data.schema)?);
     }
 
     // Projection.

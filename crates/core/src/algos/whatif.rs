@@ -115,14 +115,10 @@ pub fn indexed_multirange(
             for slice in fetched.value {
                 phase2.plain_bytes += slice.len() as u64;
                 phase2.server_cpu_units += 1;
-                let line = std::str::from_utf8(&slice)
-                    .map_err(|_| Error::Corrupt("non-UTF8 record".into()))?;
-                let fields = pushdown_format::csv::split_line(line.trim_end_matches(['\n', '\r']))?;
-                let mut vals = Vec::with_capacity(fields.len());
-                for (i, f) in fields.iter().enumerate() {
-                    vals.push(Value::parse_typed(f, idx.data.schema.dtype_of(i))?);
-                }
-                rows.push(Row::new(vals));
+                rows.push(pushdown_format::csv::decode_record(
+                    &slice,
+                    &idx.data.schema,
+                )?);
             }
         }
     }

@@ -10,68 +10,121 @@
 //! index tables of paper §IV-A store `first_byte_offset`/`last_byte_offset`
 //! per row and fetch rows back with ranged GETs, so offsets must be exact.
 
-use pushdown_common::{Error, Result, Row, Schema, Value};
+use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
+use std::borrow::Cow;
 
-/// Split one CSV record (without terminator) into raw string fields.
-/// Handles quoting; returns an error for malformed quoting. UTF-8 safe.
-pub fn split_line(line: &str) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let chars: Vec<char> = line.chars().collect();
+/// Split one CSV record (without terminator) into fields, appending them
+/// to `out` (cleared first). Works on bytes: every field borrows from
+/// `line`, and only a quoted field containing `""` escapes allocates.
+/// Malformed quoting is an error.
+fn split_fields<'a>(line: &'a str, out: &mut Vec<Cow<'a, str>>) -> Result<()> {
+    out.clear();
+    let b = line.as_bytes();
     let mut i = 0;
     loop {
-        if i >= chars.len() {
-            // Trailing empty field (line ends with a comma) or empty line.
-            fields.push(String::new());
-            break;
-        }
-        if chars[i] == '"' {
-            // Quoted field.
-            let mut s = String::new();
-            i += 1;
-            loop {
-                if i >= chars.len() {
-                    return Err(Error::Corrupt("unterminated quoted CSV field".into()));
+        if b.get(i) != Some(&b'"') {
+            // Unquoted field: everything up to the next comma.
+            match b[i..].iter().position(|&c| c == b',') {
+                Some(off) => {
+                    out.push(Cow::Borrowed(&line[i..i + off]));
+                    i += off + 1;
+                    continue;
                 }
-                if chars[i] == '"' {
-                    if i + 1 < chars.len() && chars[i + 1] == '"' {
-                        s.push('"');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
-                } else {
-                    s.push(chars[i]);
-                    i += 1;
+                None => {
+                    out.push(Cow::Borrowed(&line[i..]));
+                    return Ok(());
                 }
             }
-            fields.push(s);
-            if i < chars.len() {
-                if chars[i] != ',' {
-                    return Err(Error::Corrupt(format!(
-                        "expected `,` after quoted field, found `{}`",
-                        chars[i]
-                    )));
-                }
-                i += 1;
+        }
+        // Quoted field: `""` is an escaped quote, a lone `"` closes it.
+        i += 1;
+        let start = i;
+        let mut unescaped: Option<String> = None;
+        loop {
+            let Some(off) = b[i..].iter().position(|&c| c == b'"') else {
+                return Err(Error::Corrupt("unterminated quoted CSV field".into()));
+            };
+            let q = i + off;
+            if b.get(q + 1) == Some(&b'"') {
+                let s = unescaped.get_or_insert_with(String::new);
+                s.push_str(&line[i..=q]);
+                i = q + 2;
                 continue;
             }
+            out.push(match unescaped {
+                Some(mut s) => {
+                    s.push_str(&line[i..q]);
+                    Cow::Owned(s)
+                }
+                None => Cow::Borrowed(&line[start..q]),
+            });
+            i = q + 1;
             break;
         }
-        // Unquoted field.
-        let mut s = String::new();
-        while i < chars.len() && chars[i] != ',' {
-            s.push(chars[i]);
-            i += 1;
+        match b.get(i) {
+            None => return Ok(()),
+            Some(b',') => i += 1,
+            Some(_) => {
+                let found = line[i..].chars().next().unwrap_or_default();
+                return Err(Error::Corrupt(format!(
+                    "expected `,` after quoted field, found `{found}`"
+                )));
+            }
         }
-        fields.push(s);
-        if i < chars.len() {
-            i += 1; // skip comma
-            continue;
-        }
-        break;
     }
-    Ok(fields)
+}
+
+/// Split one CSV record (without terminator) into owned string fields.
+/// Handles quoting; returns an error for malformed quoting.
+pub fn split_line(line: &str) -> Result<Vec<String>> {
+    let mut fields = Vec::new();
+    split_fields(line, &mut fields)?;
+    Ok(fields.into_iter().map(Cow::into_owned).collect())
+}
+
+/// Decode one record's raw bytes (as a ranged GET returns them; trailing
+/// `\r`/`\n` are ignored) into a row of `schema`.
+pub fn decode_record(bytes: &[u8], schema: &Schema) -> Result<Row> {
+    let line =
+        std::str::from_utf8(bytes).map_err(|_| Error::Corrupt("non-UTF8 CSV record".into()))?;
+    let mut fields = Vec::new();
+    split_fields(line.trim_end_matches(['\n', '\r']), &mut fields)?;
+    let mut values = Vec::with_capacity(fields.len());
+    decode_fields(&fields, schema, None, &mut values)?;
+    Ok(Row::new(values))
+}
+
+/// Type the split fields of one record into `values` (cleared first).
+/// With a projection, a column whose flag is `false` becomes NULL without
+/// being materialized, yet is still validated: Int/Float/Date/Bool text
+/// must parse (which allocates nothing), and a string is always valid.
+fn decode_fields(
+    fields: &[Cow<'_, str>],
+    schema: &Schema,
+    projection: Option<&[bool]>,
+    values: &mut Vec<Value>,
+) -> Result<()> {
+    if fields.len() != schema.len() {
+        return Err(Error::Corrupt(format!(
+            "CSV record has {} fields, schema expects {}",
+            fields.len(),
+            schema.len()
+        )));
+    }
+    values.clear();
+    for (i, f) in fields.iter().enumerate() {
+        let dt = schema.dtype_of(i);
+        let keep = projection.is_none_or(|p| p[i]);
+        values.push(if keep {
+            Value::parse_typed(f, dt)?
+        } else {
+            if dt != DataType::Str {
+                Value::parse_typed(f, dt)?;
+            }
+            Value::Null
+        });
+    }
+    Ok(())
 }
 
 /// A decoded CSV record: typed values plus the byte range (inclusive
@@ -92,6 +145,8 @@ pub struct CsvReader<'a> {
     /// Whether the first record is a header to skip.
     header: bool,
     started: bool,
+    /// Split fields of the current record, reused across records.
+    fields: Vec<Cow<'a, str>>,
 }
 
 impl<'a> CsvReader<'a> {
@@ -104,17 +159,15 @@ impl<'a> CsvReader<'a> {
             pos: 0,
             header: true,
             started: false,
+            fields: Vec::new(),
         }
     }
 
     /// Reader for headerless data (S3 Select responses).
     pub fn without_header(data: &'a [u8], schema: Schema) -> Self {
         CsvReader {
-            data,
-            schema,
-            pos: 0,
             header: false,
-            started: false,
+            ..CsvReader::with_header(data, schema)
         }
     }
 
@@ -141,65 +194,71 @@ impl<'a> CsvReader<'a> {
         rest.len()
     }
 
-    fn next_line(&mut self) -> Option<(usize, &'a str)> {
+    /// The next non-blank record: its start offset and its raw bytes
+    /// (without terminator or trailing `\r`).
+    fn next_line(&mut self) -> Option<(usize, &'a [u8])> {
         while self.pos < self.data.len() {
             let start = self.pos;
             let rest = &self.data[start..];
             let end_rel = Self::record_end(rest);
             self.pos = start + end_rel + 1; // past the newline (or EOF)
-            let mut line_bytes = &rest[..end_rel];
-            if line_bytes.ends_with(b"\r") {
-                line_bytes = &line_bytes[..line_bytes.len() - 1];
+            let mut line = &rest[..end_rel];
+            if line.ends_with(b"\r") {
+                line = &line[..line.len() - 1];
             }
-            if line_bytes.is_empty() {
-                continue; // skip blank lines
+            if !line.is_empty() {
+                return Some((start, line)); // blank lines are skipped
             }
-            let line = match std::str::from_utf8(line_bytes) {
-                Ok(l) => l,
-                Err(_) => return Some((start, "\u{FFFD}")), // surfaced as Corrupt below
-            };
-            return Some((start, line));
         }
         None
     }
-}
 
-impl<'a> Iterator for CsvReader<'a> {
-    type Item = Result<CsvRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Decode the next record into `values` (cleared first) and return
+    /// its byte range (inclusive first/last, excluding the terminator).
+    /// With a `projection` (one flag per schema column), unflagged
+    /// columns are left NULL but still validated: Int/Float/Date/Bool
+    /// text must parse, so a bad value fails the record either way.
+    /// Reusing `values` across calls makes the scan allocation-free for
+    /// every column but the materialized strings.
+    pub fn read_into(
+        &mut self,
+        values: &mut Vec<Value>,
+        projection: Option<&[bool]>,
+    ) -> Option<Result<(u64, u64)>> {
         if !self.started {
             self.started = true;
             if self.header {
                 self.next_line()?;
             }
         }
-        let (start, line) = self.next_line()?;
-        if line == "\u{FFFD}" {
-            return Some(Err(Error::Corrupt("non-UTF8 CSV record".into())));
-        }
-        let fields = match split_line(line) {
-            Ok(f) => f,
-            Err(e) => return Some(Err(e)),
-        };
-        if fields.len() != self.schema.len() {
+        let (start, bytes) = self.next_line()?;
+        let Ok(line) = std::str::from_utf8(bytes) else {
             return Some(Err(Error::Corrupt(format!(
-                "CSV record has {} fields, schema expects {} (record starts at byte {start})",
-                fields.len(),
-                self.schema.len()
+                "non-UTF8 CSV record (record starts at byte {start})"
             ))));
-        }
-        let mut values = Vec::with_capacity(fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            match Value::parse_typed(f, self.schema.dtype_of(i)) {
-                Ok(v) => values.push(v),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(CsvRecord {
+        };
+        let decoded = split_fields(line, &mut self.fields)
+            .and_then(|()| decode_fields(&self.fields, &self.schema, projection, values))
+            .map_err(|e| match e {
+                Error::Corrupt(msg) => {
+                    Error::Corrupt(format!("{msg} (record starts at byte {start})"))
+                }
+                other => other,
+            });
+        Some(decoded.map(|()| (start as u64, (start + line.len()).saturating_sub(1) as u64)))
+    }
+}
+
+impl Iterator for CsvReader<'_> {
+    type Item = Result<CsvRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut values = Vec::with_capacity(self.schema.len());
+        let range = self.read_into(&mut values, None)?;
+        Some(range.map(|(first_byte, last_byte)| CsvRecord {
             row: Row::new(values),
-            first_byte: start as u64,
-            last_byte: (start + line.len()).saturating_sub(1) as u64,
+            first_byte,
+            last_byte,
         }))
     }
 }
@@ -232,9 +291,15 @@ impl CsvWriter {
     /// excluding the terminator) it occupies — the index builder records
     /// these.
     pub fn write_row(&mut self, row: &Row) -> (u64, u64) {
+        self.write_values(row.values())
+    }
+
+    /// Append one record given as its values in column order, encoded
+    /// straight into the document buffer; returns its byte range like
+    /// [`CsvWriter::write_row`].
+    pub fn write_values<'v>(&mut self, values: impl IntoIterator<Item = &'v Value>) -> (u64, u64) {
         let first = self.buf.len() as u64;
-        let line = row.to_csv_line();
-        self.buf.push_str(&line);
+        pushdown_common::row::write_csv_values(values, &mut self.buf);
         let last = (self.buf.len() as u64).saturating_sub(1);
         self.buf.push('\n');
         (first, last)
@@ -401,6 +466,68 @@ mod tests {
     }
 
     #[test]
+    fn replacement_character_is_an_ordinary_record() {
+        // A record whose only field is U+FFFD is valid UTF-8 text.
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let rows = decode_csv(b"s\n\xEF\xBF\xBD\n", &schema).unwrap();
+        assert_eq!(rows, vec![Row::new(vec![Value::Str("\u{FFFD}".into())])]);
+        // Bytes that are not UTF-8 are the corrupt case.
+        let err = decode_csv(b"s\nok\n\xFF\n", &schema).unwrap_err();
+        assert_eq!(err.code(), "Corrupt");
+        assert!(err.to_string().contains("non-UTF8"), "{err}");
+    }
+
+    #[test]
+    fn split_fields_borrows_all_but_escaped_fields() {
+        let mut fields = Vec::new();
+        split_fields("plain,\"quoted, comma\",\"say \"\"hi\"\"\",", &mut fields).unwrap();
+        assert_eq!(fields, vec!["plain", "quoted, comma", "say \"hi\"", ""]);
+        let borrowed: Vec<bool> = fields
+            .iter()
+            .map(|f| matches!(f, Cow::Borrowed(_)))
+            .collect();
+        assert_eq!(borrowed, vec![true, true, false, true]);
+    }
+
+    #[test]
+    fn projection_validates_unreferenced_columns() {
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("d", DataType::Date),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+        ]);
+        let only_s = [false, false, false, false, true];
+        let decode = |data: &[u8]| {
+            let mut reader = CsvReader::without_header(data, schema.clone());
+            let mut values = Vec::new();
+            reader
+                .read_into(&mut values, Some(&only_s))
+                .unwrap()
+                .map(|_| values)
+        };
+        assert_eq!(
+            decode(b"1,2.5,1995-01-01,true,x\n").unwrap(),
+            vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Str("x".into())
+            ]
+        );
+        for bad in [
+            "x,2.5,1995-01-01,true,x",
+            "1,x,1995-01-01,true,x",
+            "1,2.5,1995-02-30,true,x",
+            "1,2.5,1995-01-01,yes,x",
+        ] {
+            assert!(decode(bad.as_bytes()).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn split_line_edge_cases() {
         assert_eq!(split_line("").unwrap(), vec![""]);
         assert_eq!(split_line("a,").unwrap(), vec!["a", ""]);
@@ -414,7 +541,171 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use pushdown_common::DataType;
+
+    /// The char-at-a-time splitter the byte-level [`split_fields`]
+    /// replaced, kept as a test oracle.
+    fn split_line_chars(line: &str) -> Result<Vec<String>> {
+        let mut fields = Vec::new();
+        let chars: Vec<char> = line.chars().collect();
+        let mut i = 0;
+        loop {
+            if i >= chars.len() {
+                fields.push(String::new());
+                break;
+            }
+            if chars[i] == '"' {
+                let mut s = String::new();
+                i += 1;
+                loop {
+                    if i >= chars.len() {
+                        return Err(Error::Corrupt("unterminated".into()));
+                    }
+                    if chars[i] == '"' {
+                        if i + 1 < chars.len() && chars[i + 1] == '"' {
+                            s.push('"');
+                            i += 2;
+                        } else {
+                            i += 1;
+                            break;
+                        }
+                    } else {
+                        s.push(chars[i]);
+                        i += 1;
+                    }
+                }
+                fields.push(s);
+                if i < chars.len() {
+                    if chars[i] != ',' {
+                        return Err(Error::Corrupt("junk after quote".into()));
+                    }
+                    i += 1;
+                    continue;
+                }
+                break;
+            }
+            let mut s = String::new();
+            while i < chars.len() && chars[i] != ',' {
+                s.push(chars[i]);
+                i += 1;
+            }
+            fields.push(s);
+            if i < chars.len() {
+                i += 1;
+                continue;
+            }
+            break;
+        }
+        Ok(fields)
+    }
+
+    /// The reader as it stood before the byte-level rewrite (record
+    /// boundaries, blank-line and header skipping, char splitting, typed
+    /// parsing), kept as a test oracle. Errors collapse to `()`.
+    fn oracle_records(
+        data: &[u8],
+        schema: &Schema,
+        header: bool,
+    ) -> Vec<std::result::Result<CsvRecord, ()>> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        let mut skip_header = header;
+        while pos < data.len() {
+            let start = pos;
+            let rest = &data[start..];
+            let mut in_quotes = false;
+            let mut end = rest.len();
+            for (i, &c) in rest.iter().enumerate() {
+                match c {
+                    b'"' => in_quotes = !in_quotes,
+                    b'\n' if !in_quotes => {
+                        end = i;
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            pos = start + end + 1;
+            let mut line = &rest[..end];
+            if line.ends_with(b"\r") {
+                line = &line[..line.len() - 1];
+            }
+            if line.is_empty() {
+                continue;
+            }
+            if std::mem::take(&mut skip_header) {
+                continue;
+            }
+            let record = (|| {
+                let line = std::str::from_utf8(line).map_err(|_| ())?;
+                let fields = split_line_chars(line).map_err(|_| ())?;
+                if fields.len() != schema.len() {
+                    return Err(());
+                }
+                let values = fields
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| Value::parse_typed(f, schema.dtype_of(i)).map_err(|_| ()))
+                    .collect::<std::result::Result<Vec<_>, ()>>()?;
+                Ok(CsvRecord {
+                    row: Row::new(values),
+                    first_byte: start as u64,
+                    last_byte: (start + line.len()).saturating_sub(1) as u64,
+                })
+            })();
+            out.push(record);
+        }
+        out
+    }
+
+    /// Byte fragments that CSV records are assembled from: typed text,
+    /// separators, quotes and `""` escapes, every line-break form,
+    /// non-ASCII text (U+FFFD included) and bytes that are not UTF-8.
+    const PIECES: &[&[u8]] = &[
+        b"a",
+        b"7",
+        b"-3",
+        b"2.5",
+        b"1995-03-15",
+        b"true",
+        b",",
+        b",",
+        b",",
+        b"\"",
+        b"\"\"",
+        b"\"x,y\"",
+        b"\n",
+        b"\n",
+        b"\r\n",
+        b"\r",
+        b"\xC3\xA9",
+        b"\xEF\xBF\xBD",
+        b"\xFF",
+        b" ",
+    ];
+
+    fn arb_csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0..PIECES.len(), 0..40)
+            .prop_map(|ix| ix.into_iter().flat_map(|i| PIECES[i].to_vec()).collect())
+    }
+
+    /// Schemas for the random records: all strings (most records decode),
+    /// mixed types (typed parse errors), one column and two columns.
+    fn oracle_schema(pick: usize) -> Schema {
+        match pick {
+            0 => Schema::from_pairs(&[
+                ("a", DataType::Str),
+                ("b", DataType::Str),
+                ("c", DataType::Str),
+            ]),
+            1 => Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Str),
+                ("c", DataType::Date),
+            ]),
+            2 => Schema::from_pairs(&[("a", DataType::Str)]),
+            _ => Schema::from_pairs(&[("a", DataType::Bool), ("b", DataType::Float)]),
+        }
+    }
 
     fn arb_value(dt: DataType) -> BoxedStrategy<Value> {
         match dt {
@@ -437,6 +728,132 @@ mod proptests {
             DataType::Date => (0i32..20000).prop_map(Value::Date).boxed(),
             DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The byte-level reader yields exactly the oracle's records:
+        /// rows, byte ranges, and Ok-vs-Err, record by record.
+        #[test]
+        fn byte_reader_matches_char_oracle(
+            data in arb_csv_bytes(),
+            pick in 0usize..4,
+            header in any::<bool>(),
+        ) {
+            let schema = oracle_schema(pick);
+            let reader = if header {
+                CsvReader::with_header(&data, schema.clone())
+            } else {
+                CsvReader::without_header(&data, schema.clone())
+            };
+            let got: Vec<_> = reader.map(|r| r.map_err(|_| ())).collect();
+            prop_assert_eq!(got, oracle_records(&data, &schema, header));
+        }
+
+        /// `split_line` agrees with the char splitter on fields and on
+        /// Ok-vs-Err for arbitrary (UTF-8) record text.
+        #[test]
+        fn split_line_matches_char_oracle(line in "[ab1,\"\ré€ ]{0,24}") {
+            prop_assert_eq!(split_line(&line).ok(), split_line_chars(&line).ok());
+        }
+    }
+
+    proptest! {
+        /// Projection-aware decoding: referenced columns equal a full
+        /// decode, unreferenced ones are NULL, byte ranges are unchanged.
+        #[test]
+        fn projected_decode_equals_full_decode(
+            rows in proptest::collection::vec(
+                (
+                    arb_value(DataType::Int),
+                    arb_value(DataType::Str),
+                    arb_value(DataType::Float),
+                    arb_value(DataType::Date),
+                    arb_value(DataType::Bool),
+                ),
+                0..30,
+            ),
+            keep in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        ) {
+            let schema = Schema::from_pairs(&[
+                ("i", DataType::Int),
+                ("s", DataType::Str),
+                ("f", DataType::Float),
+                ("d", DataType::Date),
+                ("b", DataType::Bool),
+            ]);
+            let rows: Vec<Row> = rows
+                .into_iter()
+                .map(|(i, s, f, d, b)| Row::new(vec![i, s, f, d, b]))
+                .collect();
+            let projection = [keep.0, keep.1, keep.2, keep.3, keep.4];
+            let bytes = encode_csv(&schema, &rows);
+            let full: Vec<CsvRecord> = CsvReader::with_header(&bytes, schema.clone())
+                .collect::<Result<_>>()
+                .unwrap();
+            let mut reader = CsvReader::with_header(&bytes, schema.clone());
+            let mut values = Vec::new();
+            for rec in &full {
+                let range = reader.read_into(&mut values, Some(&projection)).unwrap().unwrap();
+                prop_assert_eq!(range, (rec.first_byte, rec.last_byte));
+                for (c, v) in values.iter().enumerate() {
+                    let want = if projection[c] { rec.row[c].clone() } else { Value::Null };
+                    prop_assert_eq!(v.clone(), want);
+                }
+            }
+            prop_assert!(reader.read_into(&mut values, Some(&projection)).is_none());
+        }
+
+        /// A malformed Int/Float/Date/Bool field fails the record even
+        /// when its column is not referenced.
+        #[test]
+        fn bad_unreferenced_value_is_an_error(
+            rows in 1usize..20,
+            bad_row in 0usize..20,
+            bad_col in 0usize..4,
+            junk in "[xz.:-]{1,4}",
+        ) {
+            let schema = Schema::from_pairs(&[
+                ("i", DataType::Int),
+                ("f", DataType::Float),
+                ("d", DataType::Date),
+                ("b", DataType::Bool),
+                ("s", DataType::Str),
+            ]);
+            // `junk` parses as none of the four typed columns.
+            assert_unparsable(&junk, schema.dtype_of(bad_col));
+            let bad_row = bad_row % rows;
+            let mut text = String::from("i,f,d,b,s\n");
+            for r in 0..rows {
+                let mut fields = ["7", "2.5", "1995-03-15", "true", "s"];
+                if r == bad_row {
+                    fields[bad_col] = &junk;
+                }
+                text.push_str(&fields.join(","));
+                text.push('\n');
+            }
+            let only_s = [false, false, false, false, true];
+            let mut reader = CsvReader::with_header(text.as_bytes(), schema.clone());
+            let mut values = Vec::new();
+            let mut outcomes = Vec::new();
+            while let Some(r) = reader.read_into(&mut values, Some(&only_s)) {
+                outcomes.push(r.is_ok());
+            }
+            let mut want = vec![true; rows];
+            want[bad_row] = false;
+            prop_assert_eq!(outcomes, want);
+        }
+    }
+
+    /// `junk` must not happen to be valid text for `dt` (the generator
+    /// cannot produce a valid Int/Float/Date/Bool, but check rather than
+    /// assume).
+    fn assert_unparsable(junk: &str, dt: DataType) {
+        assert!(
+            Value::parse_typed(junk, dt).is_err(),
+            "{junk:?} parses as {dt}"
+        );
     }
 
     proptest! {

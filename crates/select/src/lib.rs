@@ -533,21 +533,10 @@ impl S3SelectEngine {
                 )));
             }
             bytes_scanned += (last - first + 1) as u64;
-            let line = std::str::from_utf8(&data_raw[first..=last])
-                .map_err(|_| Error::Corrupt("non-UTF8 record".into()))?;
-            let fields = pushdown_format::csv::split_line(line.trim_end_matches(['\r', '\n']))?;
-            if fields.len() != data_schema.len() {
-                return Err(Error::Corrupt(format!(
-                    "index pointed at a record with {} fields, schema has {}",
-                    fields.len(),
-                    data_schema.len()
-                )));
-            }
-            let mut vals = Vec::with_capacity(fields.len());
-            for (i, f) in fields.iter().enumerate() {
-                vals.push(Value::parse_typed(f, data_schema.dtype_of(i))?);
-            }
-            rows.push(Row::new(vals));
+            rows.push(pushdown_format::csv::decode_record(
+                &data_raw[first..=last],
+                data_schema,
+            )?);
         }
 
         let mut w = CsvWriter::headerless();
@@ -583,19 +572,15 @@ impl S3SelectEngine {
         let expr_terms = stmt.term_count();
         let raw = self.store.raw_object(bucket, key)?;
 
-        let (rows, bytes_scanned) = match format {
-            InputFormat::Csv => self.scan_csv(&raw, schema, &bound, true)?,
-            InputFormat::CsvNoHeader => self.scan_csv(&raw, schema, &bound, false)?,
-            InputFormat::Columnar => self.scan_columnar(&raw, schema, &bound)?,
+        // The executor encodes the response as headerless CSV while it
+        // scans (always CSV, §IX).
+        let mut exec = Executor::new(&bound);
+        let bytes_scanned = match format {
+            InputFormat::Csv => scan_csv(&raw, schema, &mut exec, true)?,
+            InputFormat::CsvNoHeader => scan_csv(&raw, schema, &mut exec, false)?,
+            InputFormat::Columnar => scan_columnar(&raw, schema, &mut exec)?,
         };
-
-        // Serialize the response as headerless CSV (always CSV, §IX).
-        let mut w = CsvWriter::headerless();
-        let records = rows.len() as u64;
-        for r in &rows {
-            w.write_row(r);
-        }
-        let payload = w.finish();
+        let (payload, records) = exec.finish();
         let stats = SelectStats {
             bytes_scanned,
             bytes_returned: payload.len() as u64,
@@ -611,109 +596,107 @@ impl S3SelectEngine {
             stats,
         })
     }
+}
 
-    /// Row-oriented scan: CSV must be read in full (every byte is scanned)
-    /// unless LIMIT stops it early.
-    fn scan_csv(
-        &self,
-        raw: &[u8],
-        schema: &Schema,
-        bound: &BoundSelect,
-        header: bool,
-    ) -> Result<(Vec<Row>, u64)> {
-        let reader = if header {
-            CsvReader::with_header(raw, schema.clone())
-        } else {
-            CsvReader::without_header(raw, schema.clone())
-        };
-        let mut exec = Executor::new(bound);
-        let mut scanned: u64 = raw.len() as u64;
-        for rec in reader {
-            let rec = rec?;
-            if exec.feed(&rec.row)? {
-                // LIMIT satisfied: the engine stops scanning here; bill
-                // only the bytes consumed so far (through this record).
-                scanned = rec.last_byte + 2; // include the terminator
-                break;
-            }
-        }
-        Ok((exec.finish()?, scanned.min(raw.len() as u64)))
+/// Row-oriented scan: CSV must be read in full (every byte is scanned)
+/// unless LIMIT stops it early. Only the columns the statement references
+/// are materialized; the others are validated and left NULL, so a bad
+/// value anywhere in a record still fails the request. Returns the bytes
+/// scanned.
+fn scan_csv(raw: &[u8], schema: &Schema, exec: &mut Executor, header: bool) -> Result<u64> {
+    let mut reader = if header {
+        CsvReader::with_header(raw, schema.clone())
+    } else {
+        CsvReader::without_header(raw, schema.clone())
+    };
+    let mut projection = vec![false; schema.len()];
+    for c in referenced_columns(exec.bound) {
+        projection[c] = true;
     }
-
-    /// Columnar scan: only referenced column chunks are read, and row
-    /// groups are pruned through chunk min/max statistics.
-    fn scan_columnar(
-        &self,
-        raw: &[u8],
-        schema: &Schema,
-        bound: &BoundSelect,
-    ) -> Result<(Vec<Row>, u64)> {
-        let reader = ColumnarReader::open(Bytes::copy_from_slice(raw))?;
-        if reader.schema() != schema {
-            return Err(Error::SelectRejected(format!(
-                "registered schema {schema} does not match object schema {}",
-                reader.schema()
-            )));
+    let mut row = Row::new(Vec::with_capacity(schema.len()));
+    while let Some(range) = reader.read_into(&mut row.0, Some(&projection)) {
+        let (_, last_byte) = range?;
+        if exec.feed(&row)? {
+            // LIMIT satisfied: the engine stops scanning here; bill only
+            // the bytes consumed so far (through this record).
+            let scanned = last_byte + 2; // include the terminator
+            return Ok(scanned.min(raw.len() as u64));
         }
-        // Which columns does the query touch?
-        let mut needed: Vec<usize> = Vec::new();
-        let mut mark = |e: &BoundExpr| collect_columns(e, &mut needed);
-        for item in &bound.items {
-            match item {
-                BoundItem::Expr { expr, .. } => mark(expr),
-                BoundItem::Agg { arg, .. } => {
-                    if let Some(a) = arg {
-                        mark(a)
-                    }
-                }
-            }
-        }
-        if let Some(w) = &bound.where_clause {
-            mark(w);
-        }
-        needed.sort_unstable();
-        needed.dedup();
-
-        let prunable = bound
-            .where_clause
-            .as_ref()
-            .map(extract_prune_conditions)
-            .unwrap_or_default();
-
-        let mut exec = Executor::new(bound);
-        let mut scanned: u64 = 0;
-        'groups: for g in 0..reader.num_row_groups() {
-            // Row-group pruning: skip groups the statistics rule out.
-            if prunable
-                .iter()
-                .any(|(col, op, v)| reader.can_prune(g, *col, *op, v))
-            {
-                continue;
-            }
-            // Scanned bytes: the stored size of each needed chunk.
-            for &c in &needed {
-                scanned += reader.chunk_stored_len(g, c);
-            }
-            let columns: Vec<Vec<Value>> = needed
-                .iter()
-                .map(|&c| reader.read_column(g, c))
-                .collect::<Result<_>>()?;
-            let nrows = reader.row_group(g).row_count as usize;
-            let width = schema.len();
-            for i in 0..nrows {
-                // Assemble a sparse row: untouched columns stay NULL; the
-                // executor only dereferences referenced indices.
-                let mut vals = vec![Value::Null; width];
-                for (&c, col) in needed.iter().zip(&columns) {
-                    vals[c] = col[i].clone();
-                }
-                if exec.feed(&Row::new(vals))? {
-                    break 'groups;
-                }
-            }
-        }
-        Ok((exec.finish()?, scanned))
     }
+    Ok(raw.len() as u64)
+}
+
+/// Columnar scan: only referenced column chunks are read, and row groups
+/// are pruned through chunk min/max statistics. Returns the bytes scanned.
+fn scan_columnar(raw: &Bytes, schema: &Schema, exec: &mut Executor) -> Result<u64> {
+    let reader = ColumnarReader::open(raw.clone())?;
+    if reader.schema() != schema {
+        return Err(Error::SelectRejected(format!(
+            "registered schema {schema} does not match object schema {}",
+            reader.schema()
+        )));
+    }
+    let needed = referenced_columns(exec.bound);
+    let prunable = exec
+        .bound
+        .where_clause
+        .as_ref()
+        .map(extract_prune_conditions)
+        .unwrap_or_default();
+
+    let mut scanned: u64 = 0;
+    // A sparse row, reused: untouched columns stay NULL; the executor
+    // only dereferences referenced indices.
+    let mut row = Row::new(vec![Value::Null; schema.len()]);
+    for g in 0..reader.num_row_groups() {
+        // Row-group pruning: skip groups the statistics rule out.
+        if prunable
+            .iter()
+            .any(|(col, op, v)| reader.can_prune(g, *col, *op, v))
+        {
+            continue;
+        }
+        // Scanned bytes: the stored size of each needed chunk.
+        for &c in &needed {
+            scanned += reader.chunk_stored_len(g, c);
+        }
+        let columns: Vec<Vec<Value>> = needed
+            .iter()
+            .map(|&c| reader.read_column(g, c))
+            .collect::<Result<_>>()?;
+        let nrows = reader.row_group(g).row_count as usize;
+        for i in 0..nrows {
+            for (&c, col) in needed.iter().zip(&columns) {
+                row.0[c] = col[i].clone();
+            }
+            if exec.feed(&row)? {
+                return Ok(scanned);
+            }
+        }
+    }
+    Ok(scanned)
+}
+
+/// The columns a bound statement reads, sorted and deduplicated: what a
+/// scan must materialize.
+fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
+    let mut needed: Vec<usize> = Vec::new();
+    for item in &bound.items {
+        match item {
+            BoundItem::Expr { expr, .. } => collect_columns(expr, &mut needed),
+            BoundItem::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    collect_columns(a, &mut needed)
+                }
+            }
+        }
+    }
+    if let Some(w) = &bound.where_clause {
+        collect_columns(w, &mut needed);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed
 }
 
 /// Does the statement call the `BIT_AT` extension function anywhere?
@@ -795,6 +778,12 @@ fn collect_columns(e: &BoundExpr, out: &mut Vec<usize>) {
                 collect_columns(a, out);
             }
         }
+        BoundExpr::AsciiSubstring { start, len, .. } => {
+            collect_columns(start, out);
+            if let Some(l) = len {
+                collect_columns(l, out);
+            }
+        }
     }
 }
 
@@ -844,33 +833,37 @@ fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
     out
 }
 
-/// Shared row-at-a-time executor for both storage formats.
+/// Shared row-at-a-time executor for both storage formats. Projected
+/// records are CSV-encoded into the response as they are produced.
 struct Executor<'a> {
     bound: &'a BoundSelect,
     accs: Vec<pushdown_sql::Accumulator>,
-    rows: Vec<Row>,
-    emitted: u64,
+    /// Projection expressions of a non-aggregate statement.
+    exprs: Vec<&'a BoundExpr>,
+    out: CsvWriter,
+    /// Values of the current record's computed (non-column) items,
+    /// reused across records.
+    computed: Vec<Value>,
+    records: u64,
 }
 
 impl<'a> Executor<'a> {
     fn new(bound: &'a BoundSelect) -> Self {
-        let accs = if bound.is_aggregate {
-            bound
-                .items
-                .iter()
-                .map(|item| match item {
-                    BoundItem::Agg { func, .. } => func.accumulator(),
-                    BoundItem::Expr { .. } => unreachable!("binder rejects mixed selects"),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let (mut accs, mut exprs) = (Vec::new(), Vec::new());
+        // The binder rejects statements mixing aggregates and scalars.
+        for item in &bound.items {
+            match item {
+                BoundItem::Agg { func, .. } => accs.push(func.accumulator()),
+                BoundItem::Expr { expr, .. } => exprs.push(expr),
+            }
+        }
         Executor {
             bound,
             accs,
-            rows: Vec::new(),
-            emitted: 0,
+            exprs,
+            out: CsvWriter::headerless(),
+            computed: Vec::new(),
+            records: 0,
         }
     }
 
@@ -893,27 +886,32 @@ impl<'a> Executor<'a> {
             }
             return Ok(false); // aggregates always consume the full input
         }
-        let mut out = Vec::with_capacity(self.bound.items.len());
-        for item in &self.bound.items {
-            let BoundItem::Expr { expr, .. } = item else {
-                unreachable!()
-            };
-            out.push(eval(expr, row)?);
-        }
-        self.rows.push(Row::new(out));
-        self.emitted += 1;
-        Ok(matches!(self.bound.limit, Some(l) if self.emitted >= l))
-    }
-
-    fn finish(mut self) -> Result<Vec<Row>> {
-        if self.bound.is_aggregate {
-            let row = Row::new(self.accs.iter().map(|a| a.finish()).collect());
-            self.rows.push(row);
-            if matches!(self.bound.limit, Some(0)) {
-                self.rows.clear();
+        // Column items are encoded straight from the row; only computed
+        // items are evaluated into owned values.
+        self.computed.clear();
+        for expr in &self.exprs {
+            if !matches!(expr, BoundExpr::Column(..)) {
+                self.computed.push(eval(expr, row)?);
             }
         }
-        Ok(self.rows)
+        let mut computed = self.computed.iter();
+        self.out
+            .write_values(self.exprs.iter().map(|expr| match expr {
+                BoundExpr::Column(idx, _) => &row[*idx],
+                _ => computed.next().expect("one value per computed item"),
+            }));
+        self.records += 1;
+        Ok(matches!(self.bound.limit, Some(l) if self.records >= l))
+    }
+
+    /// The CSV payload and its record count.
+    fn finish(mut self) -> (Vec<u8>, u64) {
+        if self.bound.is_aggregate && !matches!(self.bound.limit, Some(0)) {
+            self.out
+                .write_values(&self.accs.iter().map(|a| a.finish()).collect::<Vec<_>>());
+            self.records = 1;
+        }
+        (self.out.finish(), self.records)
     }
 }
 

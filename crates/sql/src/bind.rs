@@ -53,6 +53,15 @@ pub enum BoundExpr {
         func: Func,
         args: Vec<BoundExpr>,
     },
+    /// `SUBSTRING(<ASCII string literal>, start [, len])`, lowered by the
+    /// binder so each evaluation slices bytes in O(1) rather than walking
+    /// the literal's characters. This is the shape of the Bloom-join
+    /// probe (paper Listing 1), whose literal is the whole bit array.
+    AsciiSubstring {
+        text: String,
+        start: Box<BoundExpr>,
+        len: Option<Box<BoundExpr>>,
+    },
 }
 
 impl BoundExpr {
@@ -95,6 +104,7 @@ impl BoundExpr {
                 Func::CharLength | Func::BitAt => DataType::Int,
                 Func::Abs => DataType::Float,
             },
+            BoundExpr::AsciiSubstring { .. } => DataType::Str,
         }
     }
 }
@@ -231,6 +241,20 @@ impl<'a> Binder<'a> {
                         "wrong number of arguments to {}",
                         func.name()
                     )));
+                }
+                if let (Func::Substring, [Expr::Literal(Value::Str(text)), start, len @ ..]) =
+                    (func, args.as_slice())
+                {
+                    if text.is_ascii() {
+                        return Ok(BoundExpr::AsciiSubstring {
+                            text: text.clone(),
+                            start: Box::new(self.bind_expr(start)?),
+                            len: match len.first() {
+                                Some(l) => Some(Box::new(self.bind_expr(l)?)),
+                                None => None,
+                            },
+                        });
+                    }
                 }
                 BoundExpr::Call {
                     func: *func,
@@ -436,6 +460,24 @@ mod tests {
         assert!(bind("SUBSTRING(c_name, 1)").is_ok());
         assert!(bind("SUBSTRING(c_name)").is_err());
         assert!(bind("LOWER(c_name, c_name)").is_err());
+    }
+
+    #[test]
+    fn substring_of_ascii_literal_is_lowered() {
+        match bind("SUBSTRING('0110', c_custkey % 4 + 1, 1)").unwrap() {
+            BoundExpr::AsciiSubstring { text, len, .. } => {
+                assert_eq!(text, "0110");
+                assert!(len.is_some());
+            }
+            other => panic!("{other:?}"),
+        }
+        // Non-ASCII literals and non-literal strings keep the char path.
+        for sql in ["SUBSTRING('héllo', 2, 1)", "SUBSTRING(c_name, 2, 1)"] {
+            assert!(
+                matches!(bind(sql).unwrap(), BoundExpr::Call { .. }),
+                "{sql}"
+            );
+        }
     }
 
     #[test]

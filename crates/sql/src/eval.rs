@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Func, UnOp};
 use crate::bind::BoundExpr;
 use pushdown_common::{Error, Result, Row, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Evaluate a bound expression against one row.
@@ -16,9 +17,9 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
         BoundExpr::Literal(v) => Ok(v.clone()),
         BoundExpr::Column(idx, _) => Ok(row[*idx].clone()),
         BoundExpr::Unary { op, expr } => {
-            let v = eval(expr, row)?;
+            let v = operand(expr, row)?;
             match op {
-                UnOp::Neg => match v {
+                UnOp::Neg => match *v {
                     Value::Null => Ok(Value::Null),
                     Value::Int(i) => {
                         Ok(Value::Int(i.checked_neg().ok_or_else(|| {
@@ -26,7 +27,7 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
                         })?))
                     }
                     Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(Error::Eval(format!("cannot negate {}", other.type_name()))),
+                    ref other => Err(Error::Eval(format!("cannot negate {}", other.type_name()))),
                 },
                 UnOp::Not => match v.as_bool()? {
                     None => Ok(Value::Null),
@@ -41,9 +42,9 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             high,
             negated,
         } => {
-            let v = eval(expr, row)?;
-            let lo = eval(low, row)?;
-            let hi = eval(high, row)?;
+            let v = operand(expr, row)?;
+            let lo = operand(low, row)?;
+            let hi = operand(high, row)?;
             let ge_low = compare(&v, &lo).map(|o| o != Ordering::Less);
             let le_high = compare(&v, &hi).map(|o| o != Ordering::Greater);
             let result = kleene_and(ge_low, le_high);
@@ -54,11 +55,11 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             list,
             negated,
         } => {
-            let v = eval(expr, row)?;
+            let v = operand(expr, row)?;
             let mut saw_null = false;
             let mut found = false;
             for item in list {
-                let iv = eval(item, row)?;
+                let iv = operand(item, row)?;
                 match v.sql_eq(&iv) {
                     Some(true) => {
                         found = true;
@@ -78,7 +79,7 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             Ok(maybe_negate(result, *negated))
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, row)?;
+            let v = operand(expr, row)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         BoundExpr::Like {
@@ -86,8 +87,8 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             pattern,
             negated,
         } => {
-            let v = eval(expr, row)?;
-            let p = eval(pattern, row)?;
+            let v = operand(expr, row)?;
+            let p = operand(pattern, row)?;
             if v.is_null() || p.is_null() {
                 return Ok(Value::Null);
             }
@@ -108,8 +109,36 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
                 None => Ok(Value::Null),
             }
         }
-        BoundExpr::Cast { expr, dtype } => eval(expr, row)?.cast(*dtype),
+        BoundExpr::Cast { expr, dtype } => operand(expr, row)?.cast(*dtype),
         BoundExpr::Call { func, args } => eval_call(*func, args, row),
+        BoundExpr::AsciiSubstring { text, start, len } => {
+            let start = operand(start, row)?;
+            let len = match len {
+                Some(l) => Some(operand(l, row)?),
+                None => None,
+            };
+            if start.is_null() || len.as_deref().is_some_and(Value::is_null) {
+                return Ok(Value::Null);
+            }
+            let start = start.as_i64()?;
+            let len = match len {
+                Some(l) => Some(substring_len(&l)?),
+                None => None,
+            };
+            let (from, to) = substring_bounds(text.len(), start, len);
+            Ok(Value::Str(text[from..to].to_string()))
+        }
+    }
+}
+
+/// Evaluate an operand, borrowing literals and column values instead of
+/// cloning them (a Bloom probe's bit-string literal is tens of KB, and
+/// every comparison would otherwise copy its string operands per row).
+fn operand<'a>(expr: &'a BoundExpr, row: &'a Row) -> Result<Cow<'a, Value>> {
+    match expr {
+        BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+        BoundExpr::Column(idx, _) => Ok(Cow::Borrowed(&row[*idx])),
+        other => eval(other, row).map(Cow::Owned),
     }
 }
 
@@ -141,8 +170,8 @@ fn eval_binary(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Res
         _ => {}
     }
 
-    let l = eval(left, row)?;
-    let r = eval(right, row)?;
+    let l = operand(left, row)?;
+    let r = operand(right, row)?;
     if op.is_comparison() {
         let result = compare(&l, &r).map(|ord| match op {
             BinOp::Eq => ord == Ordering::Equal,
@@ -220,22 +249,27 @@ fn arith(l: &Value, op: BinOp, r: &Value) -> Result<Value> {
 }
 
 fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
-    let vals: Vec<Value> = args.iter().map(|a| eval(a, row)).collect::<Result<_>>()?;
-    if vals.iter().any(Value::is_null) {
+    const NULL: &Value = &Value::Null;
+    // Every function has at most three arguments (the binder checks arity).
+    let mut vals = [
+        Cow::Borrowed(NULL),
+        Cow::Borrowed(NULL),
+        Cow::Borrowed(NULL),
+    ];
+    for (slot, a) in vals.iter_mut().zip(args) {
+        *slot = operand(a, row)?;
+    }
+    let vals = &vals[..args.len()];
+    if vals.iter().any(|v| v.is_null()) {
         return Ok(Value::Null);
     }
     match func {
         Func::Substring => {
             let s = vals[0].as_str()?;
             let start = vals[1].as_i64()?;
-            let len = if vals.len() == 3 {
-                let l = vals[2].as_i64()?;
-                if l < 0 {
-                    return Err(Error::Eval("negative SUBSTRING length".into()));
-                }
-                Some(l)
-            } else {
-                None
+            let len = match vals.get(2) {
+                Some(l) => Some(substring_len(l)?),
+                None => None,
             };
             Ok(Value::Str(substring(s, start, len)))
         }
@@ -262,7 +296,7 @@ fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
         Func::Upper => Ok(Value::Str(vals[0].as_str()?.to_uppercase())),
         Func::Trim => Ok(Value::Str(vals[0].as_str()?.trim().to_string())),
         Func::CharLength => Ok(Value::Int(vals[0].as_str()?.chars().count() as i64)),
-        Func::Abs => match &vals[0] {
+        Func::Abs => match &*vals[0] {
             Value::Int(i) => {
                 Ok(Value::Int(i.checked_abs().ok_or_else(|| {
                     Error::Eval("integer overflow in ABS".into())
@@ -274,23 +308,39 @@ fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
     }
 }
 
-/// SQL `SUBSTRING(s, start [, len])` with 1-based indexing. A start before
-/// position 1 consumes length before the string begins (standard SQL).
-fn substring(s: &str, start: i64, len: Option<i64>) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    let n = chars.len() as i64;
-    let (from, to) = match len {
-        Some(l) => (start, start.saturating_add(l)),
-        None => (start, n + 1),
+/// A `SUBSTRING` length argument: an integer that must not be negative.
+fn substring_len(v: &Value) -> Result<i64> {
+    let l = v.as_i64()?;
+    if l < 0 {
+        return Err(Error::Eval("negative SUBSTRING length".into()));
+    }
+    Ok(l)
+}
+
+/// The 0-based half-open `[from, to)` range `SUBSTRING(_, start [, len])`
+/// selects from a string of `n` characters, with 1-based SQL indexing. A
+/// start before position 1 consumes length before the string begins
+/// (standard SQL); the range is empty when nothing is selected.
+fn substring_bounds(n: usize, start: i64, len: Option<i64>) -> (usize, usize) {
+    let n = n as i64;
+    let to = match len {
+        Some(l) => start.saturating_add(l),
+        None => n + 1,
     };
-    let from = from.max(1);
+    let from = start.max(1);
     let to = to.clamp(1, n + 1);
     if from >= to {
-        return String::new();
+        return (0, 0);
     }
-    chars[(from - 1) as usize..(to - 1) as usize]
-        .iter()
-        .collect()
+    ((from - 1) as usize, (to - 1) as usize)
+}
+
+/// SQL `SUBSTRING(s, start [, len])` over characters (not bytes). The
+/// binder lowers an ASCII string-literal first argument to
+/// [`BoundExpr::AsciiSubstring`], which slices bytes in O(1) instead.
+pub(crate) fn substring(s: &str, start: i64, len: Option<i64>) -> String {
+    let (from, to) = substring_bounds(s.chars().count(), start, len);
+    s.chars().skip(from).take(to - from).collect()
 }
 
 /// SQL LIKE: `%` matches any run (including empty), `_` matches exactly one

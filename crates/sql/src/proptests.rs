@@ -255,3 +255,82 @@ proptest! {
         prop_assert_eq!(reparsed, q, "text was `{}`", text);
     }
 }
+
+/// `SUBSTRING` over characters as it stood before the binder lowered ASCII
+/// literals, kept as a test oracle. `None` start/len is SQL NULL.
+fn reference_substring(s: &str, start: Option<i64>, len: Option<Option<i64>>) -> Result<Value, ()> {
+    let Some(start) = start else {
+        return Ok(Value::Null);
+    };
+    let len = match len {
+        None => None,
+        Some(None) => return Ok(Value::Null),
+        Some(Some(l)) if l < 0 => return Err(()),
+        Some(l) => l,
+    };
+    let chars: Vec<char> = s.chars().collect();
+    let n = chars.len() as i64;
+    let (from, to) = match len {
+        Some(l) => (start, start.saturating_add(l)),
+        None => (start, n + 1),
+    };
+    let from = from.max(1);
+    let to = to.clamp(1, n + 1);
+    if from >= to {
+        return Ok(Value::Str(String::new()));
+    }
+    Ok(Value::Str(
+        chars[(from - 1) as usize..(to - 1) as usize]
+            .iter()
+            .collect(),
+    ))
+}
+
+/// An optional integer: `None` stands for SQL NULL.
+fn arb_opt_int() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        1 => Just(None),
+        6 => (-6i64..16).prop_map(Some),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The binder's O(1) ASCII-literal `SUBSTRING` equals the char-based
+    /// reference for every start/length — NULL, negative, zero, in range
+    /// and past the end — and a non-ASCII literal is never lowered.
+    #[test]
+    fn ascii_substring_matches_char_reference(
+        ascii in any::<bool>(),
+        ascii_text in "[ -~]{0,12}",
+        other_text in "[ab01é€]{0,8}",
+        start in arb_opt_int(),
+        start_from_column in any::<bool>(),
+        len in prop_oneof![1 => Just(None), 4 => arb_opt_int().prop_map(Some)],
+    ) {
+        let text = if ascii { ascii_text } else { other_text };
+        let literal = |v: Option<i64>| Expr::Literal(v.map_or(Value::Null, Value::Int));
+        let mut args = vec![
+            Expr::str(text.clone()),
+            if start_from_column { Expr::col("a") } else { literal(start) },
+        ];
+        if let Some(l) = len {
+            args.push(literal(l));
+        }
+        let expr = Expr::Call { func: Func::Substring, args };
+        let schema = schema();
+        let bound = Binder::new(&schema).bind_expr(&expr).unwrap();
+        prop_assert_eq!(
+            matches!(bound, crate::bind::BoundExpr::AsciiSubstring { .. }),
+            text.is_ascii()
+        );
+        let row = Row::new(vec![
+            start.map_or(Value::Null, Value::Int),
+            Value::Float(0.0),
+            Value::Str(String::new()),
+        ]);
+        let got = eval(&bound, &row).map_err(|_| ());
+        prop_assert_eq!(got, reference_substring(&text, start, len));
+    }
+}
