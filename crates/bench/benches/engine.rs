@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pushdown_common::{DataType, Row, Schema, Value};
 use pushdown_core::ops;
+use pushdown_core::scan::{plain_scan_streamed, ScanRequest};
 use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdown_format::compress;
 use pushdown_format::csv::{decode_csv, encode_csv};
@@ -276,6 +277,54 @@ fn bench_select_bloom_probe(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Baseline row scan over a lineitem-shaped 60 K-row CSV table
+/// (sf 0.01 TPC-H lineitem, six 10 K-row objects) on 2 scan threads. The
+/// workers decode, filter and project, so the selective request (one
+/// year of ship dates, three columns) ships a sliver of the rows that
+/// the unfiltered, full-width `SELECT *` request ships.
+fn bench_local_scan(c: &mut Criterion) {
+    let tpch = pushdown_tpch::TpchGen::new(0.01);
+    let (_, orders) = tpch.orders();
+    let (schema, rows) = tpch.lineitems(&orders);
+    let store = S3Store::new();
+    let table =
+        pushdown_core::upload_csv_table(&store, "b", "lineitem", &schema, &rows, 10_000).unwrap();
+    let mut ctx = pushdown_core::QueryContext::new(store);
+    ctx.scan_threads = 2;
+    let pred = Binder::new(&schema)
+        .bind_expr(&parse_expr("l_shipdate < DATE '1993-01-01'").unwrap())
+        .unwrap();
+    let cols: Vec<usize> = ["l_orderkey", "l_extendedprice", "l_shipdate"]
+        .iter()
+        .map(|c| schema.resolve(c).unwrap())
+        .collect();
+    let mut g = c.benchmark_group("scan");
+    g.throughput(Throughput::Bytes(table.total_bytes(&ctx.store)));
+    for (name, request) in [
+        (
+            "local_selective_60k",
+            ScanRequest {
+                predicate: Some(&pred),
+                columns: Some(&cols),
+            },
+        ),
+        ("local_wildcard_60k", ScanRequest::all()),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut kept = 0;
+                plain_scan_streamed(&ctx, &table, request, |batch| {
+                    kept += batch.len();
+                    Ok(())
+                })
+                .unwrap();
+                black_box(kept)
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("ops");
     let left = sample_rows(5_000);
@@ -326,6 +375,7 @@ criterion_group!(
     bench_bloom,
     bench_select_engine,
     bench_select_bloom_probe,
+    bench_local_scan,
     bench_ops
 );
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use crate::index::IndexTable;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{plain_scan_columnar_streamed, plain_scan_streamed, select_scan};
+use crate::scan::{plain_scan_columnar_streamed, plain_scan_streamed, select_scan, ScanRequest};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Row, Schema};
 use pushdown_format::csv::decode_record;
@@ -64,9 +64,9 @@ impl FilterQuery {
     }
 }
 
-/// Server-side filter: full load, local predicate — streamed. Each scan
-/// batch is filtered (and projected) as it arrives, so only the matches
-/// are ever resident.
+/// Server-side filter: full load, local predicate — streamed. The scan
+/// workers filter (and project) each partition as it decodes, so only
+/// the matches are ever resident.
 pub fn server_side(ctx: &QueryContext, q: &FilterQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
     let pred = Binder::new(&q.table.schema).bind_expr(&q.predicate)?;
@@ -105,14 +105,21 @@ pub fn server_side(ctx: &QueryContext, q: &FilterQuery) -> Result<QueryOutput> {
             Ok(())
         })?
     } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
-            let kept = ops::filter_rows(batch.rows, &pred, &mut op_stats)?;
-            match &proj_idx {
-                Some(idx) => rows.extend(ops::project_rows(kept, idx, &mut op_stats)),
-                None => rows.extend(kept),
+        let request = ScanRequest {
+            predicate: Some(&pred),
+            columns: proj_idx.as_deref(),
+        };
+        let summary = plain_scan_streamed(ctx, &q.table, request, |batch| {
+            // The workers filtered and projected; charge the projection
+            // like `project_rows` on the kept set.
+            if proj_idx.is_some() {
+                op_stats.server_cpu_units += batch.len() as u64;
             }
+            rows.extend(batch.rows);
             Ok(())
-        })?
+        })?;
+        op_stats.server_cpu_units += summary.filter_cpu_units;
+        summary
     };
     let schema = match &proj_idx {
         None => q.table.schema.clone(),

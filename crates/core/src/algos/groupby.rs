@@ -21,6 +21,7 @@ use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
     plain_scan_columnar_streamed, plain_scan_streamed, select_scan, select_scan_streamed,
+    ScanRequest,
 };
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
@@ -117,17 +118,35 @@ fn streamed_group_aggregate(
 }
 
 /// Server-side group-by: full table load, everything local — streamed.
-/// Scan batches are filtered and folded into the group accumulators as
-/// they arrive; only the groups themselves are ever resident.
+/// The scan workers filter each partition and keep only the grouping and
+/// aggregate columns; their batches fold into the group accumulators as
+/// they arrive, so only the groups themselves are ever resident.
 pub fn server_side(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
     let bound = match &q.predicate {
         Some(p) => Some(Binder::new(&q.table.schema).bind_expr(p)?),
         None => None,
     };
-    let mut acc = group_accumulator(q, &q.table.schema)?;
+    let columnar = ctx.columnar_exec && q.table.format == pushdown_select::InputFormat::Columnar;
+    // Row scans cut rows down to the needed columns in the workers, so
+    // the accumulator resolves against the schema the batches arrive in.
+    let cols = q
+        .needed_cols()
+        .iter()
+        .map(|c| q.table.schema.resolve(c))
+        .collect::<Result<Vec<usize>>>()?;
+    let request = ScanRequest {
+        predicate: bound.as_ref(),
+        columns: Some(&cols),
+    };
+    let batch_schema = if columnar {
+        q.table.schema.clone()
+    } else {
+        request.output_schema(&q.table.schema)
+    };
+    let mut acc = group_accumulator(q, &batch_schema)?;
     let mut op_stats = PhaseStats::default();
-    let summary = if ctx.columnar_exec && q.table.format == pushdown_select::InputFormat::Columnar {
+    let summary = if columnar {
         let compiled = bound.as_ref().and_then(ops::compile_predicate);
         plain_scan_columnar_streamed(ctx, &q.table, |batch| {
             let sel = match (&bound, &compiled) {
@@ -138,13 +157,11 @@ pub fn server_side(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> 
             acc.update_columnar(&batch, &sel, &mut op_stats)
         })?
     } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
-            let rows = match &bound {
-                Some(pred) => ops::filter_rows(batch.rows, pred, &mut op_stats)?,
-                None => batch.rows,
-            };
-            acc.update_batch(&rows, &mut op_stats)
-        })?
+        let summary = plain_scan_streamed(ctx, &q.table, request, |batch| {
+            acc.update_batch(&batch.rows, &mut op_stats)
+        })?;
+        op_stats.server_cpu_units += summary.filter_cpu_units;
+        summary
     };
     let out = acc.finish(&mut op_stats);
     let mut stats = summary.stats;

@@ -21,7 +21,7 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{plain_scan_streamed, select_scan, ScanResult};
+use crate::scan::{plain_scan_streamed, select_scan, ScanRequest, ScanResult};
 use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Error, Result, Row, Schema, Value};
@@ -128,9 +128,9 @@ impl JoinFinisher<'_> {
     }
 }
 
-/// Stream one side's plain scan, applying its local predicate to every
-/// batch as it arrives so only passing rows are ever resident. Returns
-/// the filtered scan plus the filter's CPU footprint (accounted to the
+/// Stream one side's plain scan with its local predicate evaluated in
+/// the scan workers, so only passing rows are ever resident. Returns the
+/// filtered scan plus the filter's CPU footprint (accounted to the
 /// local-join phase, as when filtering ran after the load).
 fn plain_scan_filtered(
     ctx: &QueryContext,
@@ -141,13 +141,9 @@ fn plain_scan_filtered(
         Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
         None => None,
     };
-    let mut filter_stats = PhaseStats::default();
     let mut rows = Vec::new();
-    let summary = plain_scan_streamed(ctx, table, |batch| {
-        match &bound {
-            Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut filter_stats)?),
-            None => rows.extend(batch.rows),
-        }
+    let summary = plain_scan_streamed(ctx, table, ScanRequest::filter(bound.as_ref()), |batch| {
+        rows.extend(batch.rows);
         Ok(())
     })?;
     Ok((
@@ -156,7 +152,10 @@ fn plain_scan_filtered(
             rows,
             stats: summary.stats,
         },
-        filter_stats,
+        PhaseStats {
+            server_cpu_units: summary.filter_cpu_units,
+            ..Default::default()
+        },
     ))
 }
 

@@ -28,7 +28,7 @@ use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
     plain_scan_columnar_streamed, plain_scan_streamed, select_scan_streamed,
-    select_scan_striped_limit,
+    select_scan_striped_limit, ScanRequest,
 };
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Value};
@@ -66,7 +66,7 @@ pub fn server_side(ctx: &QueryContext, q: &TopKQuery) -> Result<QueryOutput> {
             Ok(())
         })?
     } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
+        plain_scan_streamed(ctx, &q.table, ScanRequest::all(), |batch| {
             heap.push_batch(&batch.rows, &mut op_stats);
             Ok(())
         })?

@@ -303,6 +303,7 @@ fn probe_sample_from_cache(
             &table.schema,
             table.format,
             share,
+            crate::scan::ScanRequest::all(),
             |batch| {
                 for row in batch.rows {
                     if part_rows.len() < share {
@@ -529,7 +530,13 @@ mod tests {
 
         // Warm the cache with a full cached read of every partition.
         let warm_up = base.scoped().with_cache_reads(true);
-        crate::scan::cached_scan_streamed(&warm_up, &t, |_| Ok(())).unwrap();
+        crate::scan::cached_scan_streamed(
+            &warm_up,
+            &t,
+            crate::scan::ScanRequest::all(),
+            |_| Ok(()),
+        )
+        .unwrap();
 
         // Warm probe: served from the segment cache, zero billed
         // requests and bytes.

@@ -27,7 +27,7 @@ use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
     cached_scan_columnar_streamed, cached_scan_streamed, plain_scan_columnar_streamed,
-    plain_scan_streamed, select_scan,
+    plain_scan_streamed, select_scan, ScanRequest,
 };
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::{PerfModel, PhaseStats};
@@ -50,8 +50,8 @@ pub struct PlanNode {
 #[derive(Debug, Clone)]
 pub enum PlanOp {
     /// Leaf: GET every partition of `table`, decode locally, apply
-    /// `predicate` batch-by-batch (baseline side — all bytes cross the
-    /// wire as free plain transfer).
+    /// `predicate` in the scan workers (baseline side — all bytes cross
+    /// the wire as free plain transfer). Rows stay full width.
     LocalScan {
         table: Table,
         predicate: Option<Expr>,
@@ -431,13 +431,17 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
                     columnar_filter_sink(&bound, &mut rows, &mut op_stats),
                 )?
             } else {
-                plain_scan_streamed(ctx, table, |batch| {
-                    match &bound {
-                        Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut op_stats)?),
-                        None => rows.extend(batch.rows),
-                    }
-                    Ok(())
-                })?
+                let summary = plain_scan_streamed(
+                    ctx,
+                    table,
+                    ScanRequest::filter(bound.as_ref()),
+                    |batch| {
+                        rows.extend(batch.rows);
+                        Ok(())
+                    },
+                )?;
+                op_stats.server_cpu_units += summary.filter_cpu_units;
+                summary
             };
             let mut stats = summary.stats;
             stats.merge(&op_stats);
@@ -464,13 +468,17 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
                     columnar_filter_sink(&bound, &mut rows, &mut op_stats),
                 )?
             } else {
-                cached_scan_streamed(ctx, table, |batch| {
-                    match &bound {
-                        Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut op_stats)?),
-                        None => rows.extend(batch.rows),
-                    }
-                    Ok(())
-                })?
+                let summary = cached_scan_streamed(
+                    ctx,
+                    table,
+                    ScanRequest::filter(bound.as_ref()),
+                    |batch| {
+                        rows.extend(batch.rows);
+                        Ok(())
+                    },
+                )?;
+                op_stats.server_cpu_units += summary.filter_cpu_units;
+                summary
             };
             let mut stats = summary.stats;
             stats.merge(&op_stats);
@@ -1208,7 +1216,8 @@ fn finish_join(
 }
 
 /// Baseline scalar aggregation: full load, evaluate aggregate items
-/// locally — streamed. Scan batches fold straight into the accumulators;
+/// locally — streamed. The scan workers filter and keep only the
+/// arguments' columns; batches fold straight into the accumulators, so
 /// only the accumulators are resident. (Billing is the caller's query
 /// scope's job — the executor fills `QueryOutput::billed` once, at the
 /// top.)
@@ -1280,14 +1289,32 @@ fn local_aggregate(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
             Ok(())
         })?
     } else {
-        plain_scan_streamed(ctx, table, |batch| {
-            let rows = match &pred {
-                Some(p) => ops::filter_rows(batch.rows, p, &mut op_stats)?,
-                None => batch.rows,
-            };
-            op_stats.server_cpu_units += rows.len() as u64 * accs.len() as u64;
-            for r in &rows {
-                for (acc, arg) in accs.iter_mut() {
+        // The workers filter and keep only the arguments' columns, so the
+        // arguments re-bind against that narrower schema.
+        let mut cols = Vec::new();
+        for e in accs.iter().filter_map(|(_, arg)| arg.as_ref()) {
+            e.collect_columns(&mut cols);
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        let request = ScanRequest {
+            predicate: pred.as_ref(),
+            columns: Some(&cols),
+        };
+        let narrow = request.output_schema(&table.schema);
+        let narrow_binder = Binder::new(&narrow);
+        let args = stmt
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Agg { arg: Some(e), .. } => narrow_binder.bind_expr(e).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let summary = plain_scan_streamed(ctx, table, request, |batch| {
+            op_stats.server_cpu_units += batch.len() as u64 * accs.len() as u64;
+            for r in &batch.rows {
+                for ((acc, _), arg) in accs.iter_mut().zip(&args) {
                     match arg {
                         Some(e) => acc.update(&pushdown_sql::eval::eval(e, r)?)?,
                         None => acc.update(&Value::Bool(true))?,
@@ -1295,7 +1322,9 @@ fn local_aggregate(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
                 }
             }
             Ok(())
-        })?
+        })?;
+        op_stats.server_cpu_units += summary.filter_cpu_units;
+        summary
     };
     let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
     let mut stats = summary.stats;

@@ -25,6 +25,23 @@
 //! are thin collecting wrappers for callers that genuinely need the
 //! full result.
 //!
+//! # Filtering in the workers
+//!
+//! The row scans ([`plain_scan_streamed`], [`cached_scan_streamed`])
+//! take a [`ScanRequest`]: the bound predicate and the columns their
+//! consumer reads. Each worker decodes a record into a reused buffer,
+//! materializing only the predicate's and the requested columns (the
+//! rest are still validated), evaluates the predicate on it, and batches
+//! only the passing rows, cut down to the requested columns. Only those
+//! rows cross the channel, so the memory bound above counts kept rows,
+//! and the consumer never frees a row it did not want. The predicate's
+//! CPU units are returned beside the scan's own stats
+//! ([`ScanSummary::filter_cpu_units`]); each caller charges them to the
+//! phase that owns the filter, so metrics are the same as filtering the
+//! full rows downstream. Errors are decided per record in partition
+//! order: the first record that fails to decode or to evaluate ends the
+//! scan, independent of `batch_rows` and `scan_threads`.
+//!
 //! Aggregate statements are re-written per partition and merged on the
 //! compute node — `AVG` is decomposed into `SUM`+`COUNT` because
 //! per-partition averages do not merge.
@@ -40,7 +57,9 @@ use pushdown_format::csv::CsvReader;
 use pushdown_select::InputFormat;
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::{SelectItem, SelectStmt};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use pushdown_sql::bind::BoundExpr;
+use pushdown_sql::eval::eval_predicate;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::OnceLock;
 
@@ -56,8 +75,64 @@ pub struct ScanResult {
 /// What a streamed scan reports once every batch has been consumed.
 #[derive(Debug, Clone)]
 pub struct ScanSummary {
+    /// Schema of the delivered batches.
     pub schema: Schema,
     pub stats: PhaseStats,
+    /// CPU units the workers spent evaluating the [`ScanRequest`]'s
+    /// predicate (one per decoded record), kept apart from `stats` so
+    /// each caller charges them to the phase that owns the filter. Always
+    /// 0 for Select scans: the storage side filters there.
+    pub filter_cpu_units: u64,
+}
+
+/// What a row scan's consumer reads, applied inside the partition
+/// workers so only the rows it keeps cross the channel: the rows that
+/// pass `predicate` (bound against the table schema), cut down to
+/// `columns` (table-schema indices, in output order; `None` keeps rows
+/// full width). Only the predicate's and the requested columns are
+/// materialized; every other field is still validated while decoding.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanRequest<'a> {
+    pub predicate: Option<&'a BoundExpr>,
+    pub columns: Option<&'a [usize]>,
+}
+
+impl<'a> ScanRequest<'a> {
+    /// Every row, full width.
+    pub fn all() -> Self {
+        Self::default()
+    }
+
+    /// The rows passing `predicate` (every row when `None`), full width.
+    pub fn filter(predicate: Option<&'a BoundExpr>) -> Self {
+        ScanRequest {
+            predicate,
+            columns: None,
+        }
+    }
+
+    /// Schema of the rows the scan delivers for a table of `schema`.
+    pub(crate) fn output_schema(&self, schema: &Schema) -> Schema {
+        match self.columns {
+            Some(cols) => schema.project(cols),
+            None => schema.clone(),
+        }
+    }
+
+    /// Which of `width` columns the decoder must materialize: the
+    /// requested ones plus the predicate's (`None` = all of them).
+    fn materialized(&self, width: usize) -> Option<Vec<bool>> {
+        let cols = self.columns?;
+        let mut read = cols.to_vec();
+        if let Some(p) = self.predicate {
+            p.collect_columns(&mut read);
+        }
+        let mut flags = vec![false; width];
+        for c in read {
+            flags[c] = true;
+        }
+        Some(flags)
+    }
 }
 
 /// [`ScanSummary`] of a cache-aware scan, with per-partition hit/fill
@@ -69,6 +144,8 @@ pub struct ScanSummary {
 pub struct CachedScanSummary {
     pub schema: Schema,
     pub stats: PhaseStats,
+    /// See [`ScanSummary::filter_cpu_units`].
+    pub filter_cpu_units: u64,
     /// Partitions served entirely from the local segment cache (either
     /// tier, no remote bytes).
     pub hit_parts: u64,
@@ -243,40 +320,61 @@ fn partition_keys(ctx: &QueryContext, table: &Table) -> Result<Vec<String>> {
     Ok(keys)
 }
 
-/// Decode one partition's bytes incrementally, pushing full batches out
-/// through `sink`. Returns the number of rows decoded.
+/// Decode one partition's bytes incrementally under `request`, pushing
+/// full batches of the rows it keeps out through `sink`. Records are
+/// decoded into one reused buffer and the predicate runs on that buffer,
+/// so a rejected record allocates nothing but its materialized strings;
+/// the first record in partition order that fails to decode or to
+/// evaluate ends the partition with its error, whatever `batch_rows` is.
+/// Returns the number of records decoded (the predicate ran on each).
 pub(crate) fn decode_partition_batches(
     data: bytes::Bytes,
     schema: &Schema,
     format: InputFormat,
     batch_rows: usize,
+    request: ScanRequest<'_>,
     mut sink: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<u64> {
-    let mut builder = BatchBuilder::new(schema.clone(), batch_rows);
+    let width = schema.len();
+    let mut builder = BatchBuilder::new(request.output_schema(schema), batch_rows);
+    let mut keep = |record: &mut Row| -> Result<()> {
+        if let Some(p) = request.predicate {
+            if !eval_predicate(p, record)? {
+                return Ok(());
+            }
+        }
+        let row = match request.columns {
+            Some(cols) => record.project(cols),
+            None => Row::new(std::mem::replace(&mut record.0, Vec::with_capacity(width))),
+        };
+        match builder.push(row) {
+            Some(full) => sink(full),
+            None => Ok(()),
+        }
+    };
     let mut count = 0u64;
     match format {
         InputFormat::Csv | InputFormat::CsvNoHeader => {
-            let reader = if format == InputFormat::Csv {
+            let mut reader = if format == InputFormat::Csv {
                 CsvReader::with_header(&data, schema.clone())
             } else {
                 CsvReader::without_header(&data, schema.clone())
             };
-            for record in reader {
+            let materialized = request.materialized(width);
+            let mut record = Row::new(Vec::with_capacity(width));
+            while let Some(decoded) = reader.read_into(&mut record.0, materialized.as_deref()) {
+                decoded?;
                 count += 1;
-                if let Some(full) = builder.push(record?.row) {
-                    sink(full)?;
-                }
+                keep(&mut record)?;
             }
         }
         InputFormat::Columnar => {
             let reader = ColumnarReader::open(data)?;
-            let all_cols: Vec<usize> = (0..schema.len()).collect();
+            let all_cols: Vec<usize> = (0..width).collect();
             for g in 0..reader.num_row_groups() {
-                for row in reader.read_rows_projected(g, &all_cols)? {
+                for mut record in reader.read_rows_projected(g, &all_cols)? {
                     count += 1;
-                    if let Some(full) = builder.push(row) {
-                        sink(full)?;
-                    }
+                    keep(&mut record)?;
                 }
             }
         }
@@ -333,8 +431,9 @@ fn decode_partition_columnar(
 }
 
 /// Baseline path, streaming: GET each partition, decode it batch-at-a-
-/// time, and hand batches to `on_batch` in partition order. Peak
-/// resident rows are bounded by the worker pool, not the table.
+/// time under `request` (see [`ScanRequest`]), and hand the kept rows'
+/// batches to `on_batch` in partition order. Peak resident rows are
+/// bounded by the worker pool, not the table.
 ///
 /// When the context has `cache_reads` set **and** the store carries a
 /// [`pushdown_cache::SegmentCache`], partitions are read *through* the
@@ -344,16 +443,19 @@ fn decode_partition_columnar(
 pub fn plain_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
+    request: ScanRequest<'_>,
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
     if ctx.cache_reads && ctx.store.cache().is_some() {
-        let cached = cached_scan_streamed(ctx, table, on_batch)?;
+        let cached = cached_scan_streamed(ctx, table, request, on_batch)?;
         return Ok(ScanSummary {
             schema: cached.schema,
             stats: cached.stats,
+            filter_cpu_units: cached.filter_cpu_units,
         });
     }
     let keys = partition_keys(ctx, table)?;
+    let evaluated = AtomicU64::new(0);
     let stats = stream_partitions(
         ctx,
         &keys,
@@ -371,22 +473,43 @@ pub fn plain_scan_streamed(
                 cl_parse_bytes: cl_bytes(table, data.len()),
                 ..Default::default()
             };
-            let rows = decode_partition_batches(
-                data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
-            )?;
-            part.server_cpu_units += rows;
+            decode_requested(ctx, table, data, request, &mut part, &evaluated, emitter)?;
             Ok(part)
         },
         &mut on_batch,
     )?;
     Ok(ScanSummary {
-        schema: table.schema.clone(),
+        schema: request.output_schema(&table.schema),
         stats,
+        filter_cpu_units: evaluated.into_inner(),
     })
+}
+
+/// Decode one fetched partition of `table` under `request` into
+/// `emitter`, charging the decode to `part` and, when there is a
+/// predicate, one evaluation per record to `evaluated`.
+fn decode_requested(
+    ctx: &QueryContext,
+    table: &Table,
+    data: bytes::Bytes,
+    request: ScanRequest<'_>,
+    part: &mut PhaseStats,
+    evaluated: &AtomicU64,
+    emitter: &Emitter<'_, RowBatch>,
+) -> Result<()> {
+    let rows = decode_partition_batches(
+        data,
+        &table.schema,
+        table.format,
+        ctx.batch_rows,
+        request,
+        |batch| emitter.emit(batch),
+    )?;
+    part.server_cpu_units += rows;
+    if request.predicate.is_some() {
+        evaluated.fetch_add(rows, Ordering::Relaxed);
+    }
+    Ok(())
 }
 
 /// The portion of a fetched partition that parses at
@@ -431,8 +554,8 @@ pub(crate) fn chunk_layout(
 fn account_chunked(
     fetched: &pushdown_s3::ChunkedFetch,
     table: &Table,
-    hit_parts: &std::sync::atomic::AtomicU64,
-    fill_parts: &std::sync::atomic::AtomicU64,
+    hit_parts: &AtomicU64,
+    fill_parts: &AtomicU64,
 ) -> PhaseStats {
     if fetched.hit {
         hit_parts.fetch_add(1, Ordering::Relaxed);
@@ -459,17 +582,19 @@ fn account_chunked(
 /// adjacent gaps coalesced into single range GETs under the uniform
 /// [`pushdown_common::RetryPolicy`], billed exactly once (every attempt
 /// a request, the bytes once) like any plain GET. Decoding and batch
-/// delivery are identical to [`plain_scan_streamed`], so results are
-/// byte-for-byte the same with the cache hot, partially warm, cold, or
-/// absent.
+/// delivery under `request` are identical to [`plain_scan_streamed`],
+/// so results are byte-for-byte the same with the cache hot, partially
+/// warm, cold, or absent.
 pub fn cached_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
+    request: ScanRequest<'_>,
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<CachedScanSummary> {
     let keys = partition_keys(ctx, table)?;
-    let hit_parts = std::sync::atomic::AtomicU64::new(0);
-    let fill_parts = std::sync::atomic::AtomicU64::new(0);
+    let hit_parts = AtomicU64::new(0);
+    let fill_parts = AtomicU64::new(0);
+    let evaluated = AtomicU64::new(0);
     let stats = stream_partitions(
         ctx,
         &keys,
@@ -481,21 +606,23 @@ pub fn cached_scan_streamed(
                 |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
             )?;
             let mut part = account_chunked(&fetched, table, &hit_parts, &fill_parts);
-            let rows = decode_partition_batches(
+            decode_requested(
+                ctx,
+                table,
                 fetched.data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
+                request,
+                &mut part,
+                &evaluated,
+                emitter,
             )?;
-            part.server_cpu_units += rows;
             Ok(part)
         },
         &mut on_batch,
     )?;
     Ok(CachedScanSummary {
-        schema: table.schema.clone(),
+        schema: request.output_schema(&table.schema),
         stats,
+        filter_cpu_units: evaluated.into_inner(),
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
     })
@@ -518,6 +645,7 @@ pub fn plain_scan_columnar_streamed(
         return Ok(ScanSummary {
             schema: cached.schema,
             stats: cached.stats,
+            filter_cpu_units: 0,
         });
     }
     let keys = partition_keys(ctx, table)?;
@@ -548,6 +676,7 @@ pub fn plain_scan_columnar_streamed(
     Ok(ScanSummary {
         schema: table.schema.clone(),
         stats,
+        filter_cpu_units: 0,
     })
 }
 
@@ -560,8 +689,8 @@ pub fn cached_scan_columnar_streamed(
     mut on_batch: impl FnMut(ColumnarBatch) -> Result<()>,
 ) -> Result<CachedScanSummary> {
     let keys = partition_keys(ctx, table)?;
-    let hit_parts = std::sync::atomic::AtomicU64::new(0);
-    let fill_parts = std::sync::atomic::AtomicU64::new(0);
+    let hit_parts = AtomicU64::new(0);
+    let fill_parts = AtomicU64::new(0);
     let stats = stream_partitions(
         ctx,
         &keys,
@@ -588,6 +717,7 @@ pub fn cached_scan_columnar_streamed(
     Ok(CachedScanSummary {
         schema: table.schema.clone(),
         stats,
+        filter_cpu_units: 0,
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
     })
@@ -597,7 +727,7 @@ pub fn cached_scan_columnar_streamed(
 /// Collecting wrapper over [`plain_scan_streamed`].
 pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
     let mut rows = Vec::new();
-    let summary = plain_scan_streamed(ctx, table, |batch| {
+    let summary = plain_scan_streamed(ctx, table, ScanRequest::all(), |batch| {
         rows.extend(batch.rows);
         Ok(())
     })?;
@@ -658,6 +788,7 @@ pub fn select_scan_streamed(
         return Ok(ScanSummary {
             schema: scan.schema,
             stats: scan.stats,
+            filter_cpu_units: 0,
         });
     }
 
@@ -684,7 +815,11 @@ pub fn select_scan_streamed(
     let schema = schema_slot
         .into_inner()
         .expect("at least one partition responded");
-    Ok(ScanSummary { schema, stats })
+    Ok(ScanSummary {
+        schema,
+        stats,
+        filter_cpu_units: 0,
+    })
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
@@ -970,6 +1105,7 @@ fn select_scan_aggregate(
 mod tests {
     use super::*;
     use crate::catalog::{upload_columnar_table, upload_csv_table};
+    use crate::ops;
     use pushdown_common::DataType;
     use pushdown_format::columnar::WriterOptions;
     use pushdown_s3::S3Store;
@@ -1007,7 +1143,7 @@ mod tests {
         ctx.batch_rows = 64;
         let mut seen = Vec::new();
         let mut max_batch = 0;
-        let summary = plain_scan_streamed(&ctx, &t, |batch| {
+        let summary = plain_scan_streamed(&ctx, &t, ScanRequest::all(), |batch| {
             assert!(!batch.is_empty());
             max_batch = max_batch.max(batch.len());
             seen.extend(batch.rows);
@@ -1059,7 +1195,7 @@ mod tests {
         let (mut ctx, t) = ctx_with_table(5000, 100);
         ctx.batch_rows = 32;
         let mut batches = 0;
-        let err = plain_scan_streamed(&ctx, &t, |_| {
+        let err = plain_scan_streamed(&ctx, &t, ScanRequest::all(), |_| {
             batches += 1;
             if batches == 3 {
                 Err(Error::Other("stop".into()))
@@ -1090,7 +1226,7 @@ mod tests {
         let mut ctx = QueryContext::new(store);
         ctx.batch_rows = 33;
         let mut seen = Vec::new();
-        plain_scan_streamed(&ctx, &t, |batch| {
+        plain_scan_streamed(&ctx, &t, ScanRequest::all(), |batch| {
             assert!(batch.len() <= 33);
             seen.extend(batch.rows);
             Ok(())
@@ -1122,7 +1258,7 @@ mod tests {
         let mut ctx = QueryContext::new(store);
         ctx.batch_rows = 33;
         let mut row_rows = Vec::new();
-        let row_summary = plain_scan_streamed(&ctx, &t, |b| {
+        let row_summary = plain_scan_streamed(&ctx, &t, ScanRequest::all(), |b| {
             row_rows.extend(b.rows);
             Ok(())
         })
@@ -1202,7 +1338,7 @@ mod tests {
 
         // Cold pass fills the cache through the row path.
         let mut cold_rows = Vec::new();
-        let cold = cached_scan_streamed(&ctx, &t, |b| {
+        let cold = cached_scan_streamed(&ctx, &t, ScanRequest::all(), |b| {
             cold_rows.extend(b.rows);
             Ok(())
         })
@@ -1324,5 +1460,129 @@ mod tests {
             parse_select("SELECT k FROM S3Object WHERE k > 1 AND k < 50 AND v > 0.5").unwrap();
         let r = select_scan(&ctx, &t, &stmt).unwrap();
         assert_eq!(r.stats.expr_terms, 3);
+    }
+
+    fn bind(t: &Table, predicate: &str) -> BoundExpr {
+        pushdown_sql::Binder::new(&t.schema)
+            .bind_expr(&pushdown_sql::parse_expr(predicate).unwrap())
+            .unwrap()
+    }
+
+    /// Replace the record whose key is `k` with the raw line `line` in
+    /// whichever partition holds it.
+    fn rewrite_record(ctx: &QueryContext, t: &Table, k: usize, line: &str) {
+        let prefix = format!("{k},");
+        for key in t.partitions(&ctx.store) {
+            let data = ctx.store.get_object(&t.bucket, &key).unwrap();
+            let text = std::str::from_utf8(&data).unwrap();
+            if text.lines().any(|l| l.starts_with(&prefix)) {
+                let fixed: Vec<&str> = text
+                    .split('\n')
+                    .map(|l| if l.starts_with(&prefix) { line } else { l })
+                    .collect();
+                ctx.store.put_object(&t.bucket, &key, fixed.join("\n"));
+            }
+        }
+    }
+
+    #[test]
+    fn request_filters_and_projects_inside_the_workers() {
+        let (mut ctx, t) = ctx_with_table(700, 90);
+        let pred = bind(&t, "k % 3 = 0 AND v < 300");
+        let want = plain_scan(&ctx, &t).unwrap();
+        let mut oracle_stats = PhaseStats::default();
+        let kept = ops::filter_rows(want.rows, &pred, &mut oracle_stats).unwrap();
+        for (batch_rows, threads) in [(1, 1), (7, 2), (1024, 4)] {
+            ctx.batch_rows = batch_rows;
+            ctx.scan_threads = threads;
+            for columns in [None, Some(&[1usize][..]), Some(&[1, 0, 1][..])] {
+                let request = ScanRequest {
+                    predicate: Some(&pred),
+                    columns,
+                };
+                let mut got = Vec::new();
+                let summary = plain_scan_streamed(&ctx, &t, request, |batch| {
+                    assert!(batch.len() <= batch_rows);
+                    assert_eq!(batch.schema, request.output_schema(&t.schema));
+                    got.extend(batch.rows);
+                    Ok(())
+                })
+                .unwrap();
+                let expect: Vec<Row> = match columns {
+                    Some(cols) => kept.iter().map(|r| r.project(cols)).collect(),
+                    None => kept.clone(),
+                };
+                assert_eq!(
+                    got, expect,
+                    "batch {batch_rows} threads {threads} {columns:?}"
+                );
+                // The scan's own stats are the unfiltered scan's; the
+                // predicate's work is reported beside them.
+                assert_eq!(summary.stats, want.stats);
+                assert_eq!(summary.filter_cpu_units, oracle_stats.server_cpu_units);
+            }
+        }
+    }
+
+    /// The first record in partition order that fails, to decode or to
+    /// evaluate, decides the scan's error at every batch size and pool
+    /// width, even when the other failure sits in the same batch.
+    #[test]
+    fn first_failing_record_decides_the_error() {
+        // (record whose predicate divides by zero, corrupt record, eval wins)
+        for (zero_at, corrupt_at, eval_wins) in [(5, 9, true), (9, 5, false), (5, 150, true)] {
+            let (mut ctx, t) = ctx_with_table(400, 100);
+            rewrite_record(&ctx, &t, corrupt_at, &format!("{corrupt_at},not-a-float"));
+            let pred = bind(&t, &format!("100 / (k - {zero_at}) >= 0"));
+            for batch_rows in [1, 7, 1024] {
+                for threads in [1, 2, 4] {
+                    ctx.batch_rows = batch_rows;
+                    ctx.scan_threads = threads;
+                    let err =
+                        plain_scan_streamed(&ctx, &t, ScanRequest::filter(Some(&pred)), |_| Ok(()))
+                            .unwrap_err();
+                    let what = format!("zero {zero_at} corrupt {corrupt_at} batch {batch_rows} threads {threads}: {err}");
+                    if eval_wins {
+                        assert!(
+                            matches!(&err, Error::Eval(m) if m.contains("division by zero")),
+                            "{what}"
+                        );
+                    } else {
+                        assert!(
+                            matches!(&err, Error::Corrupt(m) if m.contains("record starts at byte")),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A producer-side error ends the scan with that error while later
+    /// partitions' workers are blocked on full queues: nothing hangs, and
+    /// the consumer saw only an in-order prefix of the table.
+    #[test]
+    fn producer_errors_cancel_the_scan() {
+        for (batch_rows, threads) in [(1, 4), (7, 2), (1024, 1)] {
+            let (mut ctx, t) = ctx_with_table(5000, 100);
+            ctx.batch_rows = batch_rows;
+            ctx.scan_threads = threads;
+            rewrite_record(&ctx, &t, 150, "150,oops");
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                let result = plain_scan_streamed(&ctx, &t, ScanRequest::all(), |batch| {
+                    seen.extend(batch.rows);
+                    Ok(())
+                });
+                let _ = done_tx.send((result.map(|_| ()), seen));
+            });
+            let (result, seen) = done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a failed scan must not hang");
+            assert!(matches!(result, Err(Error::Corrupt(_))), "{result:?}");
+            assert!(seen.len() <= 150, "batch {batch_rows}: {} rows", seen.len());
+            assert_eq!(seen, rows(seen.len()));
+        }
     }
 }

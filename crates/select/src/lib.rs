@@ -683,16 +683,16 @@ fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
     let mut needed: Vec<usize> = Vec::new();
     for item in &bound.items {
         match item {
-            BoundItem::Expr { expr, .. } => collect_columns(expr, &mut needed),
+            BoundItem::Expr { expr, .. } => expr.collect_columns(&mut needed),
             BoundItem::Agg { arg, .. } => {
                 if let Some(a) = arg {
-                    collect_columns(a, &mut needed)
+                    a.collect_columns(&mut needed)
                 }
             }
         }
     }
     if let Some(w) = &bound.where_clause {
-        collect_columns(w, &mut needed);
+        w.collect_columns(&mut needed);
     }
     needed.sort_unstable();
     needed.dedup();
@@ -730,61 +730,6 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
         pushdown_sql::SelectItem::Agg { arg, .. } => arg.as_ref().is_some_and(walk),
     };
     stmt.items.iter().any(item_uses) || stmt.where_clause.as_ref().is_some_and(walk)
-}
-
-/// Collect column indices referenced by a bound expression.
-fn collect_columns(e: &BoundExpr, out: &mut Vec<usize>) {
-    match e {
-        BoundExpr::Literal(_) => {}
-        BoundExpr::Column(i, _) => out.push(*i),
-        BoundExpr::Unary { expr, .. } => collect_columns(expr, out),
-        BoundExpr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => {
-            collect_columns(expr, out);
-            collect_columns(low, out);
-            collect_columns(high, out);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            collect_columns(expr, out);
-            for e in list {
-                collect_columns(e, out);
-            }
-        }
-        BoundExpr::IsNull { expr, .. } => collect_columns(expr, out),
-        BoundExpr::Like { expr, pattern, .. } => {
-            collect_columns(expr, out);
-            collect_columns(pattern, out);
-        }
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                collect_columns(c, out);
-                collect_columns(v, out);
-            }
-            if let Some(e) = else_expr {
-                collect_columns(e, out);
-            }
-        }
-        BoundExpr::Cast { expr, .. } => collect_columns(expr, out),
-        BoundExpr::Call { args, .. } => {
-            for a in args {
-                collect_columns(a, out);
-            }
-        }
-        BoundExpr::AsciiSubstring { start, len, .. } => {
-            collect_columns(start, out);
-            if let Some(l) = len {
-                collect_columns(l, out);
-            }
-        }
-    }
 }
 
 /// Extract `column op literal` conjuncts usable for row-group pruning.

@@ -107,6 +107,62 @@ impl BoundExpr {
             BoundExpr::AsciiSubstring { .. } => DataType::Str,
         }
     }
+
+    /// Append the index of every column this expression reads to `out`
+    /// (in visit order, duplicates kept).
+    pub fn collect_columns(&self, out: &mut Vec<usize>) {
+        match self {
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Column(i, _) => out.push(*i),
+            BoundExpr::Unary { expr, .. } => expr.collect_columns(out),
+            BoundExpr::Binary { left, right, .. } => {
+                left.collect_columns(out);
+                right.collect_columns(out);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.collect_columns(out);
+                low.collect_columns(out);
+                high.collect_columns(out);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.collect_columns(out);
+                for e in list {
+                    e.collect_columns(out);
+                }
+            }
+            BoundExpr::IsNull { expr, .. } => expr.collect_columns(out),
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.collect_columns(out);
+                pattern.collect_columns(out);
+            }
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (c, v) in branches {
+                    c.collect_columns(out);
+                    v.collect_columns(out);
+                }
+                if let Some(e) = else_expr {
+                    e.collect_columns(out);
+                }
+            }
+            BoundExpr::Cast { expr, .. } => expr.collect_columns(out),
+            BoundExpr::Call { args, .. } => {
+                for a in args {
+                    a.collect_columns(out);
+                }
+            }
+            BoundExpr::AsciiSubstring { start, len, .. } => {
+                start.collect_columns(out);
+                if let Some(l) = len {
+                    l.collect_columns(out);
+                }
+            }
+        }
+    }
 }
 
 /// One bound projection item.

@@ -33,11 +33,14 @@
 //!
 //! Scans decode partitions on a bounded worker pool and hand rows to the
 //! operators as fixed-capacity [`common::row::RowBatch`]es, **in
-//! partition order** (deterministic results). Filters, aggregations,
-//! joins and top-K consume batches incrementally through the state
-//! machines in [`core::ops`], so a query pipeline holds its *state* (a
-//! K-heap, group accumulators, a join build table, the matches) plus
-//! the in-flight rows — `O(scan_threads × batch_rows)` for plain scans,
+//! partition order** (deterministic results). Plain row scans evaluate
+//! a [`core::scan::ScanRequest`] (predicate plus needed columns) inside
+//! the workers, so only the rows a consumer keeps are batched. Filters,
+//! aggregations, joins and top-K consume batches incrementally through
+//! the state machines in [`core::ops`], so a query pipeline holds its
+//! *state* (a K-heap, group accumulators, a join build table, the
+//! matches) plus the in-flight rows — `O(scan_threads × batch_rows)`
+//! kept rows for plain scans,
 //! the billed response subset for select scans — never a whole
 //! materialized table. `QueryContext::batch_rows` tunes the batch
 //! capacity; `QueryContext::scan_threads` the pool width. Cost accounting
